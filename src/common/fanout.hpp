@@ -344,6 +344,11 @@ class ShardedFanout {
   std::size_t subscriber_count() const;
   std::size_t shard_count() const noexcept { return shards_.size(); }
   /// Aggregate counters plus per-shard breakdown; safe to call anytime.
+  /// Each shard's delivered and dropped counts are folded in once per
+  /// worker pass, at the top of its next loop. A pass still blocked in a
+  /// sink (for up to that sink's send deadline) is not counted yet, and
+  /// shards fold independently, so a caller waiting on one counter must
+  /// not assume the others have settled.
   FanoutStats stats() const;
 
   /// Shard a subscriber id maps onto (exposed for tests that need to place

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include "ag/desktop.hpp"
@@ -11,6 +12,7 @@
 #include "ag/venue.hpp"
 #include "net/inproc.hpp"
 #include "net/tcp.hpp"
+#include "util.hpp"
 
 namespace cs::ag {
 namespace {
@@ -180,16 +182,17 @@ TEST(Media, BridgeRelaysToUnicastClients) {
   EXPECT_EQ(decoded.value(), frame);
 }
 
-TEST(Media, BridgeIsolatesSlowClientAndKeepsFramesIntact) {
-  // One wedged unicast client (receive window smaller than a single frame,
-  // never drained) must not stall the relay for its healthy sibling: every
-  // frame still reaches the healthy client intact, the wedged client's
-  // frames are shed by its bounded queue (kDropOldest), and shedding is
-  // not a teardown.
+// One wedged unicast client (receive window smaller than a single frame,
+// never drained) must not stall the relay for its healthy sibling: every
+// frame still reaches the healthy client intact, the wedged client's
+// frames are shed by its bounded queue (kDropOldest), and shedding is
+// not a teardown. `relay_shards` 0 keeps the ShardedFanout default.
+void expect_bridge_isolates_slow_client(std::size_t relay_shards) {
   net::InProcNetwork net;
   UnicastBridge::Options options;
   options.group = "mcast/v5";
   options.address = "bridge:slow";
+  options.relay_shards = relay_shards;
   options.send_deadline = std::chrono::milliseconds(50);
   auto bridge = UnicastBridge::start(net, options);
   ASSERT_TRUE(bridge.is_ok());
@@ -217,15 +220,18 @@ TEST(Media, BridgeIsolatesSlowClientAndKeepsFramesIntact) {
     EXPECT_EQ(decoded.value(), frame) << "frame " << i;
   }
 
-  // Delivery counters fold into the shard stats once per worker pass; give
-  // the final pass (which may still be blocked on the wedged client's send
-  // deadline) a moment to settle.
-  const auto stats_deadline = Deadline::after(2s);
-  while (bridge.value()->relay_stats().data_delivered <
-             static_cast<std::uint64_t>(kFrames) &&
-         !stats_deadline.has_expired()) {
-    std::this_thread::sleep_for(5ms);
-  }
+  // Delivery and drop counters fold into the shard stats once per worker
+  // pass, and each shard folds on its own schedule: the healthy client's
+  // shard can report every delivery while the wedged client's shard is
+  // still blocked in its first send deadline, with no drop counted yet.
+  // Wait (bounded) for every counter asserted below, not just one.
+  (void)testutil::wait_until(
+      [&] {
+        const auto s = bridge.value()->relay_stats();
+        return s.data_delivered >= static_cast<std::uint64_t>(kFrames) &&
+               s.data_dropped > 0;
+      },
+      2s);
   const auto stats = bridge.value()->relay_stats();
   EXPECT_EQ(stats.subscribers, 2u);       // shedding is not a teardown
   EXPECT_GE(stats.data_delivered, static_cast<std::uint64_t>(kFrames));
@@ -236,9 +242,32 @@ TEST(Media, BridgeIsolatesSlowClientAndKeepsFramesIntact) {
   std::uint64_t per_shard_drops = 0;
   for (const auto& shard : stats.shards) per_shard_drops += shard.data_dropped;
   EXPECT_EQ(stats.data_dropped, per_shard_drops);
+  if (relay_shards != 0) {
+    EXPECT_EQ(stats.shards.size(), relay_shards);
+  }
   EXPECT_EQ(bridge.value()->client_count(), 2u);
   bridge.value()->stop();
 }
+
+TEST(Media, BridgeIsolatesSlowClientAndKeepsFramesIntact) {
+  expect_bridge_isolates_slow_client(0);
+}
+
+// The same check at explicit shard counts, so the layouts where the two
+// clients share one worker (1) and sit on different workers (2, 4) are
+// both exercised whatever the machine's core count makes the default.
+class BridgeSlowClient : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(BridgeSlowClient, IsolatedAtShardCount) {
+  expect_bridge_isolates_slow_client(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(BridgeShards, BridgeSlowClient,
+                         ::testing::Values(std::size_t{1}, std::size_t{2},
+                                           std::size_t{4}),
+                         [](const auto& info) {
+                           return std::to_string(info.param);
+                         });
 
 TEST(Media, BridgeSurvivesClientChurnUnderRelayLoad) {
   // Clients joining and leaving mid-stream must never wedge the relay or
