@@ -509,6 +509,10 @@ struct ParityCase {
   std::size_t chunk_bytes;
 };
 
+// Without this, gtest prints the case's raw bytes (pointers included) after
+// the test name, and ctest's discovered names change from build to build.
+void PrintTo(const ParityCase& c, std::ostream* os) { *os << c.name; }
+
 // Shared spinup lives in tests/util.hpp; these shims pin the no-argument
 // signature ParityCase stores.
 TransportPair make_inproc_pair() { return testutil::make_inproc_pair(); }
